@@ -149,7 +149,7 @@ void SectionTable::verify_all_sections(
   for (const SectionEntry& e : entries_) verify_section(image, e);
 }
 
-// ---- shared v3 corpus codec -------------------------------------------
+// ---- shared corpus section codec --------------------------------------
 
 void write_corpus_sections(util::SectionWriter& sections,
                            util::BinaryWriter& out, const Corpus& corpus) {

@@ -1,21 +1,21 @@
-// Sectioned (v3) binary corpus layout and the memory-mapped zero-copy
-// load path.
+// Sectioned binary corpus layout and the memory-mapped zero-copy load
+// path.
 //
-// Version 3 of the LTCP/LTDS formats restructures the flat v2 stream into
-// independently checksummed sections behind a table of contents, so a
-// loader can (a) verify integrity per section instead of hashing the
-// whole file, and (b) serve the big fixed-width sections — the six
-// columnar event arrays — directly out of a read-only file mapping with
-// no copy and no page faulted in before it is actually scanned.
+// The LTCP/LTDS formats store a file as independently checksummed
+// sections behind a table of contents, so a loader can (a) verify
+// integrity per section instead of hashing the whole file, and (b) serve
+// the big fixed-width sections — the six columnar event arrays — directly
+// out of a read-only file mapping with no copy and no page faulted in
+// before it is actually scanned.
 //
 // `MappedCorpus` is that loader for LTCP files: the event columns become
 // `EventStore` views into the mapping (the mapping is pinned by a shared
 // keepalive, so views outlive the loader safely), the entity tables and
 // name pools materialize lazily on first access, and `verify_all()`
 // checks every section checksum on demand. The same section codec backs
-// the owned v3 loaders in telemetry/binary.cpp and synth/dataset_io.cpp
-// and the mapped dataset load (`synth::load_dataset_mapped`) behind the
-// bench corpus cache.
+// the owned loaders in telemetry/binary.cpp and synth/dataset_io.cpp and
+// the mapped dataset load (`synth::load_dataset_mapped`) behind the bench
+// corpus cache.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ class SectionWriter;
 
 namespace longtail::telemetry {
 
-// Section kinds shared by LTCP and LTDS v3 (docs/corpus-format.md).
+// Section kinds shared by LTCP and LTDS (docs/corpus-format.md).
 enum class SectionKind : std::uint32_t {
   kMeta = 1,  // corpus fingerprint + machine_count
   kEventFile = 2,
@@ -77,11 +77,12 @@ struct SectionEntry {
   std::uint64_t checksum = 0;  // FNV-1a over the padded extent
 };
 
-// The parsed and integrity-checked table of contents of a v3 file. The
-// constructor validates the header (magic/version), the table checksum
-// (which covers the 16-byte header plus the table bytes), and every
-// entry's bounds; it does NOT hash section payloads — that is what
-// verify_section / verify_all_sections are for, per section, on demand.
+// The parsed and integrity-checked table of contents of a sectioned file.
+// The constructor validates the header (magic/version — a wrong version
+// is a typed error that names it), the table checksum (which covers the
+// 16-byte header plus the table bytes), and every entry's bounds; it does
+// NOT hash section payloads — that is what verify_section /
+// verify_all_sections are for, per section, on demand.
 class SectionTable {
  public:
   SectionTable(std::span<const std::uint8_t> image, std::uint32_t magic,
@@ -112,7 +113,7 @@ class SectionTable {
   std::string path_;
 };
 
-// ---- shared v3 corpus codec -------------------------------------------
+// ---- shared corpus section codec -------------------------------------------
 
 // Writes the 17 corpus sections (meta, six event columns, four entity
 // tables, six name pools) through an open SectionWriter. Used by both the
@@ -151,11 +152,12 @@ struct ColumnSlices {
 [[nodiscard]] ColumnSlices column_slices(std::span<const std::uint8_t> image,
                                          const SectionTable& table);
 
-// Parses a complete Corpus out of a v3 image. With `zero_copy_events` the
-// event columns stay views pinned by `keepalive`; otherwise they are
-// copied into an owning EventStore. Verifies the checksum of every
-// section it touches. `release` (may be empty) is invoked with each
-// consumed extent so streaming loaders can bound transient residency.
+// Parses a complete Corpus out of a sectioned image. With
+// `zero_copy_events` the event columns stay views pinned by `keepalive`;
+// otherwise they are copied into an owning EventStore. Verifies the
+// checksum of every section it touches. `release` (may be empty) is
+// invoked with each consumed extent so streaming loaders can bound
+// transient residency.
 using ReleaseFn = std::function<void(std::size_t offset, std::size_t len)>;
 [[nodiscard]] Corpus parse_corpus_sections(
     std::span<const std::uint8_t> image, const SectionTable& table,
@@ -164,7 +166,7 @@ using ReleaseFn = std::function<void(std::size_t offset, std::size_t len)>;
 
 // ---- the zero-copy corpus handle --------------------------------------
 
-// A memory-mapped LTCP v3 corpus. Opening verifies only the header and
+// A memory-mapped LTCP corpus. Opening verifies only the header and
 // section table (a few hundred bytes); event columns are served zero-copy
 // and entity tables / name pools parse lazily on first access, so memory
 // high-water tracks what the workload actually touches instead of the

@@ -2,190 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace longtail::util::trace_analysis {
 
 namespace {
-
-// ---- minimal JSON reader --------------------------------------------------
-
-struct JVal {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JVal> arr;
-  std::vector<std::pair<std::string, JVal>> obj;
-
-  [[nodiscard]] const JVal* find(std::string_view key) const {
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  [[nodiscard]] double num_or(double fallback) const {
-    return kind == kNum ? num : fallback;
-  }
-  [[nodiscard]] std::string_view str_or(std::string_view fallback) const {
-    return kind == kStr ? std::string_view(str) : fallback;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view s)
-      : begin_(s.data()), p_(s.data()), end_(s.data() + s.size()) {}
-
-  JVal parse() {
-    JVal v = value();
-    skip_ws();
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "trace JSON: %s at offset %zu", what,
-                  static_cast<std::size_t>(p_ - begin_));
-    throw std::runtime_error(buf);
-  }
-
-  void skip_ws() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                         *p_ == '\r'))
-      ++p_;
-  }
-
-  char peek() {
-    skip_ws();
-    if (p_ >= end_) fail("unexpected end");
-    return *p_;
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++p_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
-        std::string_view(p_, lit.size()) != lit)
-      return false;
-    p_ += lit.size();
-    return true;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    while (p_ < end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (p_ >= end_) fail("bad escape");
-      switch (*p_++) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 4) fail("bad \\u escape");
-          char hex[5] = {p_[0], p_[1], p_[2], p_[3], '\0'};
-          const long cp = std::strtol(hex, nullptr, 16);
-          p_ += 4;
-          // Traces only escape control characters; anything wider is
-          // preserved as '?' rather than re-encoded.
-          out += cp < 0x80 ? static_cast<char>(cp) : '?';
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    if (p_ >= end_) fail("unterminated string");
-    ++p_;  // closing quote
-    return out;
-  }
-
-  JVal value() {
-    const char c = peek();
-    JVal v;
-    if (c == '{') {
-      ++p_;
-      v.kind = JVal::kObj;
-      if (peek() == '}') {
-        ++p_;
-        return v;
-      }
-      for (;;) {
-        skip_ws();
-        std::string key = string_body();
-        expect(':');
-        v.obj.emplace_back(std::move(key), value());
-        const char n = peek();
-        if (n == ',') {
-          ++p_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      ++p_;
-      v.kind = JVal::kArr;
-      if (peek() == ']') {
-        ++p_;
-        return v;
-      }
-      for (;;) {
-        v.arr.push_back(value());
-        const char n = peek();
-        if (n == ',') {
-          ++p_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.kind = JVal::kStr;
-      v.str = string_body();
-      return v;
-    }
-    skip_ws();
-    if (consume_literal("true")) {
-      v.kind = JVal::kBool;
-      v.b = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = JVal::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return v;
-    char* num_end = nullptr;
-    v.num = std::strtod(p_, &num_end);
-    if (num_end == p_) fail("expected a value");
-    v.kind = JVal::kNum;
-    p_ = num_end;
-    return v;
-  }
-
-  const char* begin_;
-  const char* p_;
-  const char* end_;
-};
 
 // ---- analysis -------------------------------------------------------------
 
@@ -232,26 +57,26 @@ void append_quoted(std::string& out, std::string_view s) {
 }  // namespace
 
 Report analyze(std::string_view trace_json, std::size_t top_n) {
-  const JVal doc = Parser(trace_json).parse();
-  const JVal* events = doc.find("traceEvents");
-  if (events == nullptr || events->kind != JVal::kArr)
+  const json::Value doc = json::parse(trace_json);
+  const json::Value* events = doc.find("traceEvents");
+  if (events == nullptr || events->kind != json::Value::kArr)
     throw std::runtime_error("trace JSON: no traceEvents array");
 
   Report report;
   std::vector<SpanRec> spans;
   std::map<std::string, CounterStat> counters;
 
-  for (const JVal& e : events->arr) {
-    if (e.kind != JVal::kObj) continue;
-    const JVal* ph = e.find("ph");
-    const JVal* name = e.find("name");
+  for (const json::Value& e : events->arr) {
+    if (e.kind != json::Value::kObj) continue;
+    const json::Value* ph = e.find("ph");
+    const json::Value* name = e.find("name");
     if (ph == nullptr || name == nullptr) continue;
     const std::string_view kind = ph->str_or("");
-    const JVal* args = e.find("args");
+    const json::Value* args = e.find("args");
     if (kind == "M") {
       if (name->str_or("") == "thread_name" && args != nullptr) {
         ++report.thread_count;
-        const JVal* tname = args->find("name");
+        const json::Value* tname = args->find("name");
         if (tname != nullptr && tname->str_or("").substr(0, 6) == "worker")
           ++report.worker_count;
       }
@@ -278,18 +103,19 @@ Report analyze(std::string_view trace_json, std::size_t top_n) {
     if (kind != "X") continue;  // instants don't carry duration
     SpanRec s;
     s.name = name->str_or("");
-    const JVal* ts = e.find("ts");
-    const JVal* dur = e.find("dur");
-    const JVal* tid = e.find("tid");
+    const json::Value* ts = e.find("ts");
+    const json::Value* dur = e.find("dur");
+    const json::Value* tid = e.find("tid");
     s.start_ms = (ts != nullptr ? ts->num_or(0) : 0) / 1000.0;
     s.dur_ms = (dur != nullptr ? dur->num_or(0) : 0) / 1000.0;
     s.tid = tid != nullptr ? static_cast<std::uint32_t>(tid->num_or(0)) : 0;
     if (args != nullptr) {
-      if (const JVal* id = args->find("id"))
+      if (const json::Value* id = args->find("id"))
         s.id = static_cast<std::uint64_t>(id->num_or(0));
-      if (const JVal* parent = args->find("parent"))
+      if (const json::Value* parent = args->find("parent"))
         s.parent = static_cast<std::uint64_t>(parent->num_or(0));
-      if (const JVal* cpu = args->find("cpu_ms")) s.cpu_ms = cpu->num_or(-1);
+      if (const json::Value* cpu = args->find("cpu_ms"))
+        s.cpu_ms = cpu->num_or(-1);
     }
     spans.push_back(std::move(s));
   }

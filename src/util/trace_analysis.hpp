@@ -19,8 +19,8 @@
 //   * counter-series summaries (the profile sampler's RSS/fault/context-
 //     switch tracks).
 //
-// The parser is a small recursive-descent JSON reader, tolerant of any
-// formatting (jq-pretty-printed traces parse the same as ours).
+// The document is read with util/json, so any formatting parses the same
+// (jq-pretty-printed traces read like ours).
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,8 @@ struct Report {
   std::vector<CounterStat> counters;
 };
 
-// Analyzes a trace document. Throws std::runtime_error on malformed
-// JSON or a document without a traceEvents array.
+// Analyzes a trace document. Throws util::json::JsonError on malformed
+// JSON and std::runtime_error on a document without a traceEvents array.
 Report analyze(std::string_view trace_json, std::size_t top_n = 20);
 
 std::string render_markdown(const Report& report);

@@ -2,16 +2,15 @@
 // parsers throw typed errors, extractors return "no result", and nothing
 // crashes on arbitrary bytes.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <vector>
 
 #include "avclass/avclass.hpp"
 #include "avtype/avtype.hpp"
+#include "scratch_dir.hpp"
 #include "synth/dataset_io.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/binary.hpp"
@@ -81,19 +80,11 @@ TEST(Robustness, E2ldOnArbitraryBytes) {
 
 class CorpusImportErrors : public ::testing::Test {
  protected:
-  std::string dir_ = [] {
-    // Per-process dir: ctest -j runs each TEST_F as its own concurrent
-    // process, and a shared path races remove_all against writes.
-    const auto d = std::filesystem::temp_directory_path() /
-                   ("longtail_robust_io_" +
-                    std::to_string(static_cast<unsigned>(::getpid())));
-    std::filesystem::remove_all(d);
-    std::filesystem::create_directories(d);
-    return d.string();
-  }();
+  test::ScratchDir scratch_;
+  std::string dir_ = scratch_.path().string();
 
   void write(const char* name, const std::string& content) {
-    std::ofstream out(dir_ + "/" + name);
+    std::ofstream out(scratch_.file(name));
     out << content;
   }
 };
@@ -143,24 +134,43 @@ TEST_F(CorpusImportErrors, BadDigestThrows) {
 //
 // The LTCP corpus and LTDS dataset readers must turn ANY damaged image
 // into a typed std::runtime_error — never a crash, hang, allocation
-// blow-up, or silent partial load. v2 files end with a whole-file FNV-1a
-// checksum; v3 files checksum every section plus the table of contents,
-// and every byte of the image falls in exactly one checksum region — so
-// every single-bit flip and every truncation is detectable by
-// construction in both formats. These tests hold the readers to that.
+// blow-up, or silent partial load. The format checksums every section
+// plus the table of contents, and every byte of the image falls in
+// exactly one checksum region — so every single-bit flip and every
+// truncation is detectable by construction. These tests hold the readers
+// to that.
 
 class BinaryFuzz : public ::testing::Test {
  protected:
-  static std::string temp_path(const char* name) {
-    const auto dir =
-        std::filesystem::temp_directory_path() / "longtail_robust_fuzz";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  // Scratch files a single test damages and reloads.
+  std::string temp_path(const char* name) const { return dir_.file(name); }
 
   static const synth::Dataset& dataset() {
     static const synth::Dataset ds = synth::generate_dataset(0.01);
     return ds;
+  }
+
+  // The intact images, written once per process and shared by its tests.
+  static const test::ScratchDir& shared_dir() {
+    static const test::ScratchDir dir =
+        test::ScratchDir::for_process("binary_fuzz");
+    return dir;
+  }
+  static const std::string& corpus_image_path() {
+    static const std::string path = [] {
+      const auto p = shared_dir().file("ltcp_good.bin");
+      telemetry::save_binary(dataset().corpus, p);
+      return p;
+    }();
+    return path;
+  }
+  static const std::string& dataset_image_path() {
+    static const std::string path = [] {
+      const auto p = shared_dir().file("ltds_good.bin");
+      synth::save_dataset_binary(dataset(), p);
+      return p;
+    }();
+    return path;
   }
 
   static std::string file_bytes(const std::string& path) {
@@ -175,8 +185,8 @@ class BinaryFuzz : public ::testing::Test {
   }
 
   // Sampled positions covering the whole image plus every byte of the
-  // header region (magic, version, fingerprint, leading counts) — flipping
-  // any section boundary lands in one of these.
+  // header region (magic, version, section count, reserved) and the META
+  // section after it.
   static std::vector<std::size_t> sample_positions(std::size_t size,
                                                    std::size_t samples) {
     std::vector<std::size_t> pos;
@@ -224,6 +234,9 @@ class BinaryFuzz : public ::testing::Test {
       EXPECT_THROW((void)load(scratch), std::runtime_error);
     }
   }
+
+ private:
+  test::ScratchDir dir_;
 };
 
 TEST_F(BinaryFuzz, CorpusLoaderRejectsRandomBytes) {
@@ -231,17 +244,13 @@ TEST_F(BinaryFuzz, CorpusLoaderRejectsRandomBytes) {
 }
 
 TEST_F(BinaryFuzz, CorpusLoaderRejectsEveryBitFlip) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_bit_flips_rejected(file_bytes(path), "ltcp_flip.bin",
-                                telemetry::load_binary);
+  expect_all_bit_flips_rejected(file_bytes(corpus_image_path()),
+                                "ltcp_flip.bin", telemetry::load_binary);
 }
 
 TEST_F(BinaryFuzz, CorpusLoaderRejectsEveryTruncation) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_truncations_rejected(file_bytes(path), "ltcp_trunc.bin",
-                                  telemetry::load_binary);
+  expect_all_truncations_rejected(file_bytes(corpus_image_path()),
+                                  "ltcp_trunc.bin", telemetry::load_binary);
 }
 
 TEST_F(BinaryFuzz, DatasetLoaderRejectsRandomBytes) {
@@ -249,20 +258,16 @@ TEST_F(BinaryFuzz, DatasetLoaderRejectsRandomBytes) {
 }
 
 TEST_F(BinaryFuzz, DatasetLoaderRejectsEveryBitFlip) {
-  const auto path = temp_path("ltds_good.bin");
-  synth::save_dataset_binary(dataset(), path);
-  expect_all_bit_flips_rejected(file_bytes(path), "ltds_flip.bin",
-                                synth::load_dataset_binary);
+  expect_all_bit_flips_rejected(file_bytes(dataset_image_path()),
+                                "ltds_flip.bin", synth::load_dataset_binary);
 }
 
 TEST_F(BinaryFuzz, DatasetLoaderRejectsEveryTruncation) {
-  const auto path = temp_path("ltds_good.bin");
-  synth::save_dataset_binary(dataset(), path);
-  expect_all_truncations_rejected(file_bytes(path), "ltds_trunc.bin",
-                                  synth::load_dataset_binary);
+  expect_all_truncations_rejected(file_bytes(dataset_image_path()),
+                                  "ltds_trunc.bin", synth::load_dataset_binary);
 }
 
-// ---- v3-specific hostile inputs ----------------------------------------
+// ---- mapped-path and section-table hostile inputs ----------------------
 
 // A mapped load that checks everything: structural validation at open,
 // then every section checksum.
@@ -277,17 +282,13 @@ TEST_F(BinaryFuzz, MappedLoaderRejectsRandomBytes) {
 }
 
 TEST_F(BinaryFuzz, MappedLoaderRejectsEveryBitFlip) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_bit_flips_rejected(file_bytes(path), "ltcp_map_flip.bin",
-                                mapped_full_load);
+  expect_all_bit_flips_rejected(file_bytes(corpus_image_path()),
+                                "ltcp_map_flip.bin", mapped_full_load);
 }
 
 TEST_F(BinaryFuzz, MappedLoaderRejectsEveryTruncation) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
-  expect_all_truncations_rejected(file_bytes(path), "ltcp_map_trunc.bin",
-                                  mapped_full_load);
+  expect_all_truncations_rejected(file_bytes(corpus_image_path()),
+                                  "ltcp_map_trunc.bin", mapped_full_load);
 }
 
 // Opening a mapped corpus validates only the header and table of contents
@@ -295,8 +296,7 @@ TEST_F(BinaryFuzz, MappedLoaderRejectsEveryTruncation) {
 // open (that is the point: no page is faulted in before use), but
 // verify_all() must catch it.
 TEST_F(BinaryFuzz, MappedOpenIsLazyButVerifyAllCatchesPayloadDamage) {
-  const auto path = temp_path("ltcp_good.bin");
-  telemetry::save_binary(dataset().corpus, path);
+  const std::string& path = corpus_image_path();
   std::string image = file_bytes(path);
 
   const telemetry::SectionTable table(

@@ -2,25 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "analysis/annotated.hpp"
 #include "core/pipeline.hpp"
+#include "scratch_dir.hpp"
 #include "synth/dataset_io.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/io.hpp"
 
 namespace longtail::telemetry {
 namespace {
-
-std::string temp_path(const char* name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "longtail_binary_test";
-  std::filesystem::create_directories(dir);
-  return (dir / name).string();
-}
 
 const synth::Dataset& small_dataset() {
   static const synth::Dataset ds = synth::generate_dataset(0.01);
@@ -29,7 +24,8 @@ const synth::Dataset& small_dataset() {
 
 TEST(CorpusBinary, RoundTripPreservesEverything) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("corpus.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("corpus.bin");
   save_binary(ds.corpus, path);
   const Corpus loaded = load_binary(path);
 
@@ -44,7 +40,8 @@ TEST(CorpusBinary, RoundTripPreservesEverything) {
 
 TEST(CorpusBinary, TsvRoundTripPreservesFingerprint) {
   const auto& ds = small_dataset();
-  const auto dir = temp_path("tsv");
+  const test::ScratchDir scratch;
+  const auto dir = scratch.file("tsv");
   export_corpus(ds.corpus, dir);
   const Corpus loaded = import_corpus(dir);
   EXPECT_EQ(corpus_fingerprint(loaded), corpus_fingerprint(ds.corpus));
@@ -57,7 +54,8 @@ TEST(CorpusBinary, MissingFileThrows) {
 
 TEST(CorpusBinary, TruncatedFileThrows) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("truncated.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("truncated.bin");
   save_binary(ds.corpus, path);
   const auto full = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full / 2);
@@ -66,11 +64,13 @@ TEST(CorpusBinary, TruncatedFileThrows) {
 
 TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("corrupt.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("corrupt.bin");
   save_binary(ds.corpus, path);
   {
-    // Flip one byte well past the header (magic/version/fingerprint are
-    // the first 16 bytes).
+    // Flip one byte past the 16-byte header (magic, version, section
+    // count, reserved) and the 16-byte META section: it lands in the
+    // event file column, whose section checksum must reject the load.
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(64);
     char b = 0;
@@ -82,31 +82,9 @@ TEST(CorpusBinary, CorruptedPayloadFailsFingerprintCheck) {
   EXPECT_THROW(load_binary(path), std::runtime_error);
 }
 
-// Writers can still emit the v2 flat-stream format and the loader sniffs
-// the version, so corpora serialized before the sectioned v3 layout keep
-// loading byte-for-byte.
-TEST(CorpusBinary, V2FormatRoundTripsThroughVersionSniffing) {
-  const auto& ds = small_dataset();
-  const auto path = temp_path("corpus_v2.bin");
-  save_binary(ds.corpus, path, 2);
-  const Corpus loaded = load_binary(path);
-  EXPECT_EQ(loaded.events, ds.corpus.events);
-  EXPECT_EQ(corpus_fingerprint(loaded), corpus_fingerprint(ds.corpus));
-}
-
-TEST(CorpusBinary, V2AndV3EncodeTheSameCorpusDifferently) {
-  const auto& ds = small_dataset();
-  const auto v2 = temp_path("corpus_enc2.bin");
-  const auto v3 = temp_path("corpus_enc3.bin");
-  save_binary(ds.corpus, v2, 2);
-  save_binary(ds.corpus, v3, 3);
-  EXPECT_NE(std::filesystem::file_size(v2), 0u);
-  EXPECT_EQ(corpus_fingerprint(load_binary(v2)),
-            corpus_fingerprint(load_binary(v3)));
-}
-
 TEST(CorpusBinary, BadMagicThrows) {
-  const auto path = temp_path("bad_magic.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("bad_magic.bin");
   std::ofstream out(path, std::ios::binary);
   const std::uint32_t junk[4] = {0xDEADBEEF, 1, 0, 0};
   out.write(reinterpret_cast<const char*>(junk), sizeof(junk));
@@ -114,9 +92,46 @@ TEST(CorpusBinary, BadMagicThrows) {
   EXPECT_THROW(load_binary(path), std::runtime_error);
 }
 
+// One format version is read: a file with a valid magic but any other
+// version is rejected by every loader with an error that names it.
+TEST(CorpusBinary, OtherVersionsRejectedByEveryLoader) {
+  const auto& ds = small_dataset();
+  const test::ScratchDir scratch;
+  const auto corpus_path = scratch.file("corpus.bin");
+  const auto dataset_path = scratch.file("dataset.bin");
+  save_binary(ds.corpus, corpus_path);
+  synth::save_dataset_binary(ds, dataset_path);
+
+  // The version is the u32 after the magic.
+  const auto set_version = [](const std::string& path, std::uint32_t v) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const auto expect_rejected = [](auto load, const std::string& path,
+                                  std::uint32_t v) {
+    try {
+      (void)load(path);
+      ADD_FAILURE() << "version " << v << " loaded: " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " + std::to_string(v)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const std::uint32_t v : {2u, 4u}) {
+    set_version(corpus_path, v);
+    set_version(dataset_path, v);
+    expect_rejected(load_binary, corpus_path, v);
+    expect_rejected(synth::load_dataset_binary, dataset_path, v);
+    expect_rejected(synth::load_dataset_mapped, dataset_path, v);
+  }
+}
+
 TEST(DatasetBinary, RoundTripPreservesDatasetFingerprint) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("dataset.bin");
   synth::save_dataset_binary(ds, path);
   const synth::Dataset loaded = synth::load_dataset_binary(path);
 
@@ -131,19 +146,10 @@ TEST(DatasetBinary, RoundTripPreservesDatasetFingerprint) {
   EXPECT_EQ(loaded.collection_stats.accepted, ds.collection_stats.accepted);
 }
 
-TEST(DatasetBinary, V2FormatRoundTripsThroughVersionSniffing) {
-  const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_v2.bin");
-  synth::save_dataset_binary(ds, path, 2);
-  const synth::Dataset loaded = synth::load_dataset_binary(path);
-  EXPECT_EQ(core::dataset_fingerprint(loaded), core::dataset_fingerprint(ds));
-  EXPECT_EQ(loaded.corpus.events, ds.corpus.events);
-  EXPECT_EQ(loaded.collection_stats.accepted, ds.collection_stats.accepted);
-}
-
 TEST(DatasetBinary, ReloadedDatasetAnnotatesIdentically) {
   const auto& ds = small_dataset();
-  const auto path = temp_path("dataset_annotate.bin");
+  const test::ScratchDir scratch;
+  const auto path = scratch.file("dataset_annotate.bin");
   synth::save_dataset_binary(ds, path);
   const synth::Dataset loaded = synth::load_dataset_binary(path);
 

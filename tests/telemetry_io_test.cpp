@@ -2,24 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
+#include "scratch_dir.hpp"
 #include "synth/generator.hpp"
 #include "telemetry/index.hpp"
 
 namespace longtail::telemetry {
 namespace {
 
-std::string temp_dir() {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "longtail_io_test";
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
-
 TEST(CorpusIo, RoundTripsGeneratedCorpus) {
   const auto ds = synth::generate_dataset(0.01);
-  const auto dir = temp_dir();
+  const test::ScratchDir scratch;
+  const auto dir = scratch.file("corpus");
   export_corpus(ds.corpus, dir);
   const Corpus loaded = import_corpus(dir);
 
@@ -74,7 +67,8 @@ TEST(CorpusIo, ImportMissingDirectoryThrows) {
 
 TEST(CorpusIo, ImportedCorpusSupportsIndexing) {
   const auto ds = synth::generate_dataset(0.01);
-  const auto dir = temp_dir();
+  const test::ScratchDir scratch;
+  const auto dir = scratch.file("corpus");
   export_corpus(ds.corpus, dir);
   const Corpus loaded = import_corpus(dir);
   const CorpusIndex original(ds.corpus);

@@ -2,20 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <fstream>
+
+#include "scratch_dir.hpp"
 
 namespace longtail::util {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string temp_path(const char* name) {
-    const auto dir =
-        std::filesystem::temp_directory_path() / "longtail_csv_test";
-    std::filesystem::create_directories(dir);
-    return (dir / name).string();
-  }
+  std::string temp_path(const char* name) const { return dir_.file(name); }
+
+ private:
+  test::ScratchDir dir_;
 };
 
 TEST_F(CsvTest, TsvRoundTrip) {

@@ -24,23 +24,22 @@
 //                        sum_ms may not regress by more than the histogram
 //                        threshold (sums under 1 ms are skipped as noise).
 //
-// The wall-clock parser is deliberately minimal: it extracts every numeric
-// value of an exactly-quoted key anywhere in the file (the bench JSON is
-// flat and self-produced, machine noise is handled by taking each run
-// set's best). The metrics parser walks the balanced-brace "metrics"
-// object and tolerates arbitrary whitespace, so jq-pretty-printed files
-// gate the same as ours. A metric missing from either file is reported
-// and skipped, not failed, so the gate survives schema evolution in
-// either direction.
+// Both files are read with util/json, so any formatting gates the same. A
+// wall-clock metric is every numeric value stored under its exact key, at
+// any depth. A gated metric present in the baseline but missing from the
+// current file fails the gate; one missing from the baseline is reported
+// and skipped (a new metric has nothing to regress against). A file that
+// is not valid JSON exits 2, naming the file and the byte offset.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace {
 
@@ -54,15 +53,17 @@ constexpr Metric kGatedMetrics[] = {
     {"resolve_events_ms", false},
     {"analysis_ms", false},
     // Streaming section: sustained untrusted-ingest throughput. The key
-    // is distinct from "events_per_sec" on purpose — the exact-quoted-key
-    // scan must not conflate the two.
+    // is distinct from "events_per_sec" on purpose — the exact-key lookup
+    // must not conflate the two.
     {"ingest_events_per_sec", true},
 };
 
 // Histogram sums below this many milliseconds are too noisy to gate.
 constexpr double kHistSumFloorMs = 1.0;
 
-std::string slurp(const char* path) {
+namespace json = longtail::util::json;
+
+json::Value read_json(const char* path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "bench_compare: cannot read %s\n", path);
@@ -70,168 +71,109 @@ std::string slurp(const char* path) {
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  return ss.str();
+  try {
+    return json::parse(ss.str());
+  } catch (const json::JsonError& e) {
+    std::fprintf(stderr, "bench_compare: %s: invalid %s\n", path, e.what());
+    std::exit(2);
+  }
 }
 
-// Every numeric value stored under `"key": ` (exact key, including the
-// opening quote, so "resolve_events_ms" never matches
-// "synth.resolve_events_ms").
-std::vector<double> values_of(const std::string& json, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  std::vector<double> out;
-  for (std::size_t pos = json.find(needle); pos != std::string::npos;
-       pos = json.find(needle, pos + needle.size())) {
-    const char* start = json.c_str() + pos + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end != start) out.push_back(v);
+// Calls `fn` with every value stored under `key` (exact member name, so
+// "resolve_events_ms" never matches "synth.resolve_events_ms"), at any
+// depth, in document order.
+template <typename Fn>
+void for_each_under(const json::Value& v, std::string_view key, Fn&& fn) {
+  for (const auto& [k, child] : v.obj) {
+    if (k == key) fn(child);
+    for_each_under(child, key, fn);
   }
+  for (const json::Value& child : v.arr) for_each_under(child, key, fn);
+}
+
+std::vector<double> values_of(const json::Value& doc, const char* key) {
+  std::vector<double> out;
+  for_each_under(doc, key, [&](const json::Value& v) {
+    if (v.kind == json::Value::kNum) out.push_back(v.num);
+  });
   return out;
 }
 
 // A run set's representative value: the best across runs (max for
 // throughput, min for wall time), so thread-count fan-out and machine
 // noise both shrink instead of amplifying.
-bool best_of(const std::string& json, const Metric& m, double* out) {
-  const auto vals = values_of(json, m.key);
-  if (vals.empty()) return false;
-  *out = m.higher_is_better ? *std::max_element(vals.begin(), vals.end())
-                            : *std::min_element(vals.begin(), vals.end());
-  return true;
+double best_of(const std::vector<double>& vals, bool higher_is_better) {
+  return higher_is_better ? *std::max_element(vals.begin(), vals.end())
+                          : *std::min_element(vals.begin(), vals.end());
 }
 
-// ---- metrics snapshot parsing ---------------------------------------------
-
-void skip_ws(const std::string& s, std::size_t* p) {
-  while (*p < s.size() && (s[*p] == ' ' || s[*p] == '\t' || s[*p] == '\n' ||
-                           s[*p] == '\r'))
-    ++*p;
+// The first object stored under `key` anywhere in the document; nullptr
+// when there is none.
+const json::Value* object_of(const json::Value& doc, const char* key) {
+  const json::Value* found = nullptr;
+  for_each_under(doc, key, [&](const json::Value& v) {
+    if (found == nullptr && v.kind == json::Value::kObj) found = &v;
+  });
+  return found;
 }
 
-// The balanced {...} object following `"key":`, or "" when absent.
-// Search starts at `from`, which lets the caller scope the lookup to an
-// enclosing object's extent.
-std::string object_of(const std::string& json, const char* key,
-                      std::size_t from = 0) {
-  const std::string needle = std::string("\"") + key + "\"";
-  std::size_t pos = json.find(needle, from);
-  if (pos == std::string::npos) return "";
-  pos += needle.size();
-  skip_ws(json, &pos);
-  if (pos >= json.size() || json[pos] != ':') return "";
-  ++pos;
-  skip_ws(json, &pos);
-  if (pos >= json.size() || json[pos] != '{') return "";
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{') ++depth;
-    if (c == '}' && --depth == 0) return json.substr(pos, i - pos + 1);
-  }
-  return "";
-}
-
-// Key → raw value text for one flat JSON object level: values are numbers
-// or balanced {...} sub-objects (all the metrics snapshot contains).
-std::map<std::string, std::string> parse_flat_object(const std::string& obj) {
-  std::map<std::string, std::string> out;
-  std::size_t p = 0;
-  skip_ws(obj, &p);
-  if (p >= obj.size() || obj[p] != '{') return out;
-  ++p;
-  for (;;) {
-    skip_ws(obj, &p);
-    if (p >= obj.size() || obj[p] == '}') return out;
-    if (obj[p] == ',') {
-      ++p;
-      continue;
-    }
-    if (obj[p] != '"') return out;  // malformed; keep what we have
-    const std::size_t key_end = obj.find('"', p + 1);
-    if (key_end == std::string::npos) return out;
-    std::string key = obj.substr(p + 1, key_end - p - 1);
-    p = key_end + 1;
-    skip_ws(obj, &p);
-    if (p >= obj.size() || obj[p] != ':') return out;
-    ++p;
-    skip_ws(obj, &p);
-    if (p < obj.size() && obj[p] == '{') {
-      int depth = 0;
-      std::size_t i = p;
-      for (; i < obj.size(); ++i) {
-        if (obj[i] == '{') ++depth;
-        if (obj[i] == '}' && --depth == 0) break;
-      }
-      if (i >= obj.size()) return out;
-      out.emplace(std::move(key), obj.substr(p, i - p + 1));
-      p = i + 1;
-    } else {
-      const std::size_t start = p;
-      while (p < obj.size() && obj[p] != ',' && obj[p] != '}') ++p;
-      out.emplace(std::move(key), obj.substr(start, p - start));
-    }
-  }
-}
-
-double first_value(const std::string& json, const char* key, double fallback) {
-  const auto vals = values_of(json, key);
-  return vals.empty() ? fallback : vals.front();
+// Member `key` of `obj` if it is an object; otherwise a null value, which
+// has no members either.
+const json::Value& section(const json::Value& obj, const char* key) {
+  static const json::Value kNone;
+  const json::Value* v = obj.find(key);
+  return v != nullptr && v->kind == json::Value::kObj ? *v : kNone;
 }
 
 // Exact-counter and histogram-drift comparison. Returns the number of
 // drifted metrics; keys missing from either side are skipped so schema
 // evolution in either direction stays green.
-int gate_metrics(const std::string& baseline, const std::string& current,
+int gate_metrics(const json::Value& baseline, const json::Value& current,
                  double hist_threshold) {
-  const std::string base_m = object_of(baseline, "metrics");
-  const std::string cur_m = object_of(current, "metrics");
-  if (base_m.empty() || cur_m.empty()) {
+  const json::Value* base_m = object_of(baseline, "metrics");
+  const json::Value* cur_m = object_of(current, "metrics");
+  if (base_m == nullptr || cur_m == nullptr) {
     std::printf("  metrics            skipped (missing from %s)\n",
-                base_m.empty() ? "baseline" : "current");
+                base_m == nullptr ? "baseline" : "current");
     return 0;
   }
 
   int drifted = 0;
-  const auto base_counters = parse_flat_object(object_of(base_m, "counters"));
-  const auto cur_counters = parse_flat_object(object_of(cur_m, "counters"));
+  const json::Value& cur_counters = section(*cur_m, "counters");
   std::size_t counters_checked = 0;
-  for (const auto& [name, base_text] : base_counters) {
+  for (const auto& [name, base_v] : section(*base_m, "counters").obj) {
     // profile.* metrics describe how the machine scheduled the run (e.g.
     // how many pool helpers were actually submitted), not the workload;
     // they are legitimately timing-dependent and exempt from gating.
     if (name.rfind("profile.", 0) == 0) continue;
-    const auto it = cur_counters.find(name);
-    if (it == cur_counters.end()) continue;
+    const json::Value* cur_v = cur_counters.find(name);
+    if (cur_v == nullptr) continue;
     ++counters_checked;
-    const auto base_v = std::strtoull(base_text.c_str(), nullptr, 10);
-    const auto cur_v = std::strtoull(it->second.c_str(), nullptr, 10);
-    if (base_v != cur_v) {
+    // Compared as integers parsed from the source text, so counts beyond
+    // a double's 53-bit mantissa still gate exactly.
+    const auto base_n = std::strtoull(base_v.str.c_str(), nullptr, 10);
+    const auto cur_n = std::strtoull(cur_v->str.c_str(), nullptr, 10);
+    if (base_n != cur_n) {
       std::printf("  counter %-32s baseline %llu  current %llu  DRIFTED\n",
-                  name.c_str(), static_cast<unsigned long long>(base_v),
-                  static_cast<unsigned long long>(cur_v));
+                  name.c_str(), static_cast<unsigned long long>(base_n),
+                  static_cast<unsigned long long>(cur_n));
       ++drifted;
     }
   }
 
-  const auto base_hists = parse_flat_object(object_of(base_m, "histograms"));
-  const auto cur_hists = parse_flat_object(object_of(cur_m, "histograms"));
+  const json::Value& cur_hists = section(*cur_m, "histograms");
   std::size_t hists_checked = 0;
-  for (const auto& [name, base_text] : base_hists) {
+  for (const auto& [name, base_h] : section(*base_m, "histograms").obj) {
     if (name.rfind("profile.", 0) == 0) continue;  // same exemption
-    const auto it = cur_hists.find(name);
-    if (it == cur_hists.end()) continue;
+    const json::Value* cur_h = cur_hists.find(name);
+    if (cur_h == nullptr) continue;
     ++hists_checked;
-    const double base_count = first_value(base_text, "count", -1);
-    const double cur_count = first_value(it->second, "count", -1);
+    const auto field = [](const json::Value& h, const char* key) {
+      const json::Value* v = h.find(key);
+      return v != nullptr ? v->num_or(-1) : -1;
+    };
+    const double base_count = field(base_h, "count");
+    const double cur_count = field(*cur_h, "count");
     if (base_count >= 0 && cur_count >= 0 && base_count != cur_count) {
       std::printf(
           "  histogram %-30s baseline count %.0f  current count %.0f  "
@@ -240,8 +182,8 @@ int gate_metrics(const std::string& baseline, const std::string& current,
       ++drifted;
       continue;
     }
-    const double base_sum = first_value(base_text, "sum_ms", -1);
-    const double cur_sum = first_value(it->second, "sum_ms", -1);
+    const double base_sum = field(base_h, "sum_ms");
+    const double cur_sum = field(*cur_h, "sum_ms");
     if (base_sum < kHistSumFloorMs || cur_sum < 0) continue;
     const double delta = (cur_sum - base_sum) / base_sum;
     if (delta > hist_threshold) {
@@ -291,19 +233,29 @@ int main(int argc, char** argv) {
                  "[--no-metrics]\n");
     return 2;
   }
-  const std::string baseline = slurp(paths[0]);
-  const std::string current = slurp(paths[1]);
+  const json::Value baseline = read_json(paths[0]);
+  const json::Value current = read_json(paths[1]);
 
   std::printf("bench gate: %s vs %s (threshold %.0f%%, histograms %.0f%%)\n",
               paths[1], paths[0], threshold * 100.0, hist_threshold * 100.0);
   int regressions = 0;
   for (const Metric& m : kGatedMetrics) {
-    double base = 0.0;
-    double cur = 0.0;
-    if (!best_of(baseline, m, &base) || !best_of(current, m, &cur) ||
-        base <= 0.0) {
-      std::printf("  %-18s skipped (missing from %s)\n", m.key,
-                  values_of(baseline, m.key).empty() ? "baseline" : "current");
+    const auto base_vals = values_of(baseline, m.key);
+    const auto cur_vals = values_of(current, m.key);
+    if (base_vals.empty()) {
+      std::printf("  %-18s skipped (missing from baseline)\n", m.key);
+      continue;
+    }
+    if (cur_vals.empty()) {
+      std::printf("  %-18s MISSING from current\n", m.key);
+      ++regressions;
+      continue;
+    }
+    const double base = best_of(base_vals, m.higher_is_better);
+    const double cur = best_of(cur_vals, m.higher_is_better);
+    if (base <= 0.0) {
+      std::printf("  %-18s skipped (baseline %.1f is not positive)\n", m.key,
+                  base);
       continue;
     }
     // Positive delta = worse, regardless of the metric's direction.
@@ -320,7 +272,7 @@ int main(int argc, char** argv) {
   if (regressions > 0) {
     std::fprintf(stderr,
                  "bench_compare: %d metric(s) regressed more than the "
-                 "threshold\n",
+                 "threshold or went missing\n",
                  regressions);
     return 1;
   }
