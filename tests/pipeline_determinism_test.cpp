@@ -4,17 +4,27 @@
 // LONGTAIL_THREADS = 1, 2, and 8.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "analysis/coverage.hpp"
+#include "analysis/domains.hpp"
+#include "analysis/malproc.hpp"
 #include "analysis/monthly.hpp"
+#include "analysis/packers.hpp"
+#include "analysis/processes.hpp"
 #include "analysis/signers.hpp"
 #include "bench/table_render.hpp"
 #include "core/pipeline.hpp"
 #include "synth/dataset_io.hpp"
 #include "telemetry/faults.hpp"
+#include "telemetry/scan.hpp"
 #include "util/hash.hpp"
 #include "util/profile.hpp"
 #include "util/thread_pool.hpp"
@@ -268,6 +278,182 @@ TEST_F(PipelineDeterminismTest, MigrationGateFaultedRunMatchesPreMigration) {
     const core::LongtailPipeline pipeline(profile);
     EXPECT_EQ(core::dataset_fingerprint(pipeline.dataset()),
               kPinnedModerateFingerprint);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Migration-equivalence gate for the distinct-count analyses. The
+// constants below were captured from the build immediately BEFORE the
+// std::unordered_set -> util::IdSet migration of src/analysis/: one
+// digest per result struct of Tables III, IV, V, VII, VIII, X, XI, XII
+// and XIV, the Fig. 3/6 Alexa distributions, machine coverage and the
+// packer statistics, at scale 0.02 (two scan shards). The same rule as
+// above applies: update them only with a paired capture from the commit
+// being replaced, never to "make the test pass".
+namespace digest {
+
+using util::FnvMixer;
+
+void mix(FnvMixer& m, std::uint64_t v) { m(v); }
+void mix(FnvMixer& m, double v) { m(std::bit_cast<std::uint64_t>(v)); }
+void mix(FnvMixer& m, std::string_view s) { m(util::fnv1a64(s)); }
+template <typename A, typename B>
+void mix(FnvMixer& m, const std::pair<A, B>& p);
+template <typename T, std::size_t N>
+void mix(FnvMixer& m, const std::array<T, N>& a);
+template <typename T>
+void mix(FnvMixer& m, const std::vector<T>& v);
+
+void mix(FnvMixer& m, const util::EmpiricalCdf& c) {
+  m(c.size());
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0})
+    mix(m, c.quantile(q));
+}
+void mix(FnvMixer& m, const analysis::DomainPopularity& d) {
+  mix(m, d.overall);
+  mix(m, d.benign);
+  mix(m, d.malicious);
+}
+void mix(FnvMixer& m, const analysis::DomainFileCounts& d) {
+  mix(m, d.benign);
+  mix(m, d.malicious);
+  m(d.overlap_in_top);
+}
+void mix(FnvMixer& m, const analysis::AlexaDistribution& d) {
+  mix(m, d.ranks);
+  mix(m, d.unranked_fraction);
+  m(d.domains);
+}
+void mix(FnvMixer& m, const analysis::SignerOverlapRow& r) {
+  m(r.signers);
+  m(r.common_with_benign);
+}
+void mix(FnvMixer& m, const analysis::SignerOverlap& s) {
+  mix(m, s.per_type);
+  mix(m, s.total);
+}
+void mix(FnvMixer& m, const analysis::TopSigners::Row& r) {
+  mix(m, r.top);
+  mix(m, r.top_common);
+  mix(m, r.top_exclusive);
+}
+void mix(FnvMixer& m, const analysis::TopSigners& s) {
+  mix(m, s.per_type);
+  mix(m, s.malicious_total);
+  mix(m, s.top_benign_exclusive);
+  mix(m, s.top_malicious_exclusive);
+}
+void mix(FnvMixer& m, const analysis::ProcessBehaviorRow& r) {
+  for (const std::uint64_t v : {r.processes, r.machines, r.unknown_files,
+                                r.benign_files, r.malicious_files})
+    m(v);
+  mix(m, r.infected_machines_pct);
+  mix(m, r.type_pct);
+}
+void mix(FnvMixer& m, const analysis::MalProcBehavior& b) {
+  mix(m, b.per_type);
+  mix(m, b.overall);
+}
+void mix(FnvMixer& m, const analysis::UnknownDownloads& u) {
+  mix(m, u.by_category);
+  m(u.total);
+}
+void mix(FnvMixer& m, const analysis::MachineCoverage& c) {
+  mix(m, c.machines);
+  m(c.active_machines);
+}
+void mix(FnvMixer& m, const analysis::PackerStats& p) {
+  mix(m, p.benign_packed_pct);
+  mix(m, p.malicious_packed_pct);
+  mix(m, p.unknown_packed_pct);
+  m(p.distinct_packers);
+  m(p.shared_packers);
+  mix(m, p.shared_examples);
+  mix(m, p.malicious_only_examples);
+  mix(m, p.benign_only_examples);
+}
+template <typename A, typename B>
+void mix(FnvMixer& m, const std::pair<A, B>& p) {
+  mix(m, p.first);
+  mix(m, p.second);
+}
+template <typename T, std::size_t N>
+void mix(FnvMixer& m, const std::array<T, N>& a) {
+  for (const auto& x : a) mix(m, x);
+}
+template <typename T>
+void mix(FnvMixer& m, const std::vector<T>& v) {
+  m(v.size());
+  for (const auto& x : v) mix(m, x);
+}
+
+template <typename T>
+std::uint64_t of(const T& result) {
+  FnvMixer m;
+  mix(m, result);
+  return m.value();
+}
+
+}  // namespace digest
+
+struct PinnedAnalysis {
+  const char* name;
+  std::uint64_t digest;
+};
+
+constexpr std::array<PinnedAnalysis, 14> kPinnedAnalyses = {{
+    {"table03_domain_popularity", 0x5179EFD100D3092AULL},
+    {"table04_files_per_domain", 0x7BAB8183A8A0D633ULL},
+    {"table05_domains_per_type", 0x2A17F29F44AC4220ULL},
+    {"table07_signer_overlap", 0x714A972AA083834CULL},
+    {"table08_top_signers", 0x8FAA1E711F408822ULL},
+    {"table10_benign_process_behavior", 0x6FE301C3EBF4579BULL},
+    {"table11_browser_behavior", 0x49433F4C05484F39ULL},
+    {"table12_malicious_process_behavior", 0x42609B1FDC1784E2ULL},
+    {"table14_unknown_downloads_by_category", 0xD0BC18437FE71C83ULL},
+    {"alexa_benign", 0x80F64F4B03CB4BFBULL},
+    {"alexa_malicious", 0xB5D2E15C4CBC7325ULL},
+    {"alexa_unknown", 0xFD5AB424FC9C79ACULL},
+    {"machine_coverage", 0xE30E5B88E1B11356ULL},
+    {"packer_stats", 0x7E36309290DC7152ULL},
+}};
+
+std::array<std::uint64_t, kPinnedAnalyses.size()> analysis_digests(
+    const analysis::AnnotatedCorpus& a) {
+  using model::Verdict;
+  return {
+      digest::of(analysis::domain_popularity(a)),
+      digest::of(analysis::files_per_domain(a)),
+      digest::of(analysis::domains_per_type(a)),
+      digest::of(analysis::signer_overlap(a)),
+      digest::of(analysis::top_signers(a)),
+      digest::of(analysis::benign_process_behavior(a)),
+      digest::of(analysis::browser_behavior(a)),
+      digest::of(analysis::malicious_process_behavior(a)),
+      digest::of(analysis::unknown_downloads_by_category(a)),
+      digest::of(analysis::alexa_of_domains_hosting(a, Verdict::kBenign)),
+      digest::of(analysis::alexa_of_domains_hosting(a, Verdict::kMalicious)),
+      digest::of(analysis::alexa_of_domains_hosting(a, Verdict::kUnknown)),
+      digest::of(analysis::machine_coverage(a)),
+      digest::of(analysis::packer_stats(a)),
+  };
+}
+
+TEST_F(PipelineDeterminismTest, MigrationGateAnalysesMatchPreMigration) {
+  const auto pipeline = core::LongtailPipeline::generate(kScale);
+  const auto& events = pipeline.dataset().corpus.events;
+  ASSERT_EQ(telemetry::scan_shard_count(events.size()), 2u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    util::set_global_threads(threads);
+    const auto digests = analysis_digests(pipeline.annotated());
+    for (std::size_t i = 0; i < kPinnedAnalyses.size(); ++i) {
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016llX",
+                    static_cast<unsigned long long>(digests[i]));
+      EXPECT_EQ(digests[i], kPinnedAnalyses[i].digest)
+          << kPinnedAnalyses[i].name << " digest " << actual;
+    }
   }
 }
 
