@@ -20,6 +20,16 @@ struct FileAnnotation {
 
 }  // namespace
 
+AnnotatedCorpus::AnnotatedCorpus(const telemetry::Corpus& c)
+    : corpus(&c), index(c) {
+  std::vector<NameCategory> by_name(c.process_names.size());
+  for (std::uint32_t n = 0; n < by_name.size(); ++n)
+    by_name[n] = categorize_by_name(c.process_names.at(n));
+  process_categories.reserve(c.processes.size());
+  for (const auto& p : c.processes)
+    process_categories.push_back(by_name[p.name]);
+}
+
 AnnotatedCorpus annotate(const telemetry::Corpus& corpus,
                          const groundtruth::Whitelist& whitelist,
                          const groundtruth::VtDatabase& vt,

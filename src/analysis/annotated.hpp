@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/procname.hpp"
 #include "avtype/avtype.hpp"
 #include "groundtruth/labeler.hpp"
 #include "groundtruth/urllabel.hpp"
@@ -39,8 +40,11 @@ struct AnnotatedCorpus {
 
   std::vector<groundtruth::UrlVerdict> url_verdicts;
 
-  explicit AnnotatedCorpus(const telemetry::Corpus& c)
-      : corpus(&c), index(c) {}
+  // §V-A name category of every process, resolved once per distinct
+  // executable name when the view is built (analysis/procname.hpp).
+  std::vector<NameCategory> process_categories;
+
+  explicit AnnotatedCorpus(const telemetry::Corpus& c);
 
   [[nodiscard]] model::Verdict verdict(model::FileId f) const {
     return labels.file_verdicts[f.raw()];
@@ -53,6 +57,9 @@ struct AnnotatedCorpus {
   }
   [[nodiscard]] model::MalwareType type_of(model::ProcessId p) const {
     return process_types[p.raw()];
+  }
+  [[nodiscard]] NameCategory category(model::ProcessId p) const {
+    return process_categories[p.raw()];
   }
   [[nodiscard]] bool is_malicious(model::FileId f) const {
     return verdict(f) == model::Verdict::kMalicious;

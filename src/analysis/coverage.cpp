@@ -1,14 +1,12 @@
 #include "analysis/coverage.hpp"
 
-#include <unordered_set>
-
 #include "telemetry/scan.hpp"
+#include "util/id_set.hpp"
 
 namespace longtail::analysis {
 
 MachineCoverage machine_coverage(const AnnotatedCorpus& a) {
-  using VerdictSets =
-      std::array<std::unordered_set<std::uint32_t>, model::kNumVerdicts>;
+  using VerdictSets = std::array<util::IdSet, model::kNumVerdicts>;
   const VerdictSets sets = telemetry::scan_reduce(
       *a.corpus, [] { return VerdictSets{}; },
       [&](VerdictSets& acc, const auto& e) {

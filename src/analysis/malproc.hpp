@@ -1,6 +1,6 @@
 // Table XII (§V-B): download behaviour of malicious processes, grouped by
-// the behaviour type of the downloading process. Reuses the row shape of
-// Table X.
+// the behaviour type of the downloading process. Reuses the row shape and
+// the row accumulator of Table X (analysis/processes.hpp).
 #pragma once
 
 #include <array>

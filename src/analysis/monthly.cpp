@@ -14,9 +14,7 @@ MonthlyTally tally_range(const AnnotatedCorpus& a, std::uint32_t begin,
   return telemetry::scan_reduce(
       *a.corpus, begin, end, [] { return MonthlyTally{}; },
       [](MonthlyTally& acc, const auto& e) { acc.add(e); },
-      [](MonthlyTally& total, MonthlyTally&& shard) {
-        total.merge(std::move(shard));
-      },
+      [](MonthlyTally& total, MonthlyTally&& shard) { total.merge(shard); },
       "analysis.monthly");
 }
 
@@ -30,7 +28,7 @@ MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
 
   row.processes = t.processes.size();
   std::uint64_t pb = 0, plb = 0, pm = 0, plm = 0;
-  for (auto p : t.processes) {
+  t.processes.for_each([&](std::uint32_t p) {
     switch (a.labels.process_verdicts[p]) {
       case Verdict::kBenign: ++pb; break;
       case Verdict::kLikelyBenign: ++plb; break;
@@ -38,7 +36,7 @@ MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
       case Verdict::kLikelyMalicious: ++plm; break;
       case Verdict::kUnknown: break;
     }
-  }
+  });
   row.proc_benign = util::percent(pb, row.processes);
   row.proc_likely_benign = util::percent(plb, row.processes);
   row.proc_malicious = util::percent(pm, row.processes);
@@ -46,7 +44,7 @@ MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
 
   row.files = t.files.size();
   std::uint64_t fb = 0, flb = 0, fm = 0, flm = 0;
-  for (auto f : t.files) {
+  t.files.for_each([&](std::uint32_t f) {
     switch (a.labels.file_verdicts[f]) {
       case Verdict::kBenign: ++fb; break;
       case Verdict::kLikelyBenign: ++flb; break;
@@ -54,7 +52,7 @@ MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
       case Verdict::kLikelyMalicious: ++flm; break;
       case Verdict::kUnknown: break;
     }
-  }
+  });
   row.file_benign = util::percent(fb, row.files);
   row.file_likely_benign = util::percent(flb, row.files);
   row.file_malicious = util::percent(fm, row.files);
@@ -62,13 +60,13 @@ MonthlyRow summarize_tally(const AnnotatedCorpus& a, const MonthlyTally& t,
 
   row.urls = t.urls.size();
   std::uint64_t ub = 0, um = 0;
-  for (auto u : t.urls) {
+  t.urls.for_each([&](std::uint32_t u) {
     switch (a.url_verdicts[u]) {
       case groundtruth::UrlVerdict::kBenign: ++ub; break;
       case groundtruth::UrlVerdict::kMalicious: ++um; break;
       case groundtruth::UrlVerdict::kUnknown: break;
     }
-  }
+  });
   row.url_benign = util::percent(ub, row.urls);
   row.url_malicious = util::percent(um, row.urls);
   return row;
@@ -82,7 +80,7 @@ MonthlySummary monthly_summary(const AnnotatedCorpus& a) {
     const auto [begin, end] =
         a.index.month_range(static_cast<model::Month>(m));
     const MonthlyTally month = tally_range(a, begin, end);
-    overall.absorb(month);
+    overall.merge(month);
     out.months[m] = summarize_tally(a, month, end - begin);
   }
   // Include any spill past July in the overall row.

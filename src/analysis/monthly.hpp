@@ -5,10 +5,10 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 
 #include "analysis/annotated.hpp"
 #include "model/time.hpp"
+#include "util/id_set.hpp"
 
 namespace longtail::analysis {
 
@@ -35,10 +35,12 @@ struct MonthlySummary {
 
 // Distinct-entity tally over one time slice — the shared accumulator of
 // the batch month scans and the streaming absorb path
-// (analysis/streaming.hpp). All consumers only read set sizes and
-// verdict-bucketed sums, so results are independent of insertion order.
+// (analysis/streaming.hpp). The four sets are util::IdSets over the
+// corpus's dense ids, so a shard's tally stays small and merging shards is
+// a bitwise OR. All consumers only read set sizes and verdict-bucketed
+// sums, so results are independent of insertion order.
 struct MonthlyTally {
-  std::unordered_set<std::uint32_t> machines, processes, files, urls;
+  util::IdSet machines, processes, files, urls;
 
   void add(const telemetry::EventStore::EventRef& e) {
     machines.insert(e.machine().raw());
@@ -47,18 +49,11 @@ struct MonthlyTally {
     urls.insert(e.url().raw());
   }
 
-  void merge(MonthlyTally&& other) {
+  void merge(const MonthlyTally& other) {
     machines.merge(other.machines);
     processes.merge(other.processes);
     files.merge(other.files);
     urls.merge(other.urls);
-  }
-
-  void absorb(const MonthlyTally& other) {
-    machines.insert(other.machines.begin(), other.machines.end());
-    processes.insert(other.processes.begin(), other.processes.end());
-    files.insert(other.files.begin(), other.files.end());
-    urls.insert(other.urls.begin(), other.urls.end());
   }
 };
 

@@ -9,6 +9,9 @@ namespace longtail::analysis {
 PackerStats packer_stats(const AnnotatedCorpus& a, std::size_t max_examples) {
   PackerStats out;
   std::uint64_t b = 0, b_packed = 0, m = 0, m_packed = 0, u = 0, u_packed = 0;
+  // The example lists below come out in these sets' iteration order,
+  // which the table_packers stdout and the pinned perfbench `tables`
+  // digest fix; util::IdSet would list them by ascending id instead.
   std::unordered_set<std::uint32_t> benign_packers, malicious_packers;
 
   for (const auto f : a.index.observed_files()) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "analysis/annotated.hpp"
+#include "util/id_set.hpp"
 
 namespace longtail::analysis {
 
@@ -21,6 +22,25 @@ struct ProcessBehaviorRow {
   double infected_machines_pct = 0;  // machines with >= 1 malicious download
   std::array<double, model::kNumMalwareTypes> type_pct{};  // of malicious
 };
+
+namespace detail {
+
+// One Table X/XI/XII row under construction, shared by the benign
+// (processes.cpp) and malicious (malproc.cpp) process analyses. Distinct
+// counts are util::IdSets; the per-type shares are counted from the
+// malicious-file set when the row is finished, so every file counts once
+// however the scan was sharded.
+struct BehaviorAcc {
+  util::IdSet processes, machines, infected;
+  util::IdSet unknown_files, benign_files, malicious_files;
+
+  void add(const AnnotatedCorpus& a,
+           const telemetry::EventStore::EventRef& e);
+  void merge(const BehaviorAcc& other);
+  [[nodiscard]] ProcessBehaviorRow finish(const AnnotatedCorpus& a) const;
+};
+
+}  // namespace detail
 
 // Table X. Only events whose process is labeled benign are counted, as in
 // the paper (malware may masquerade as a browser; the whitelist check

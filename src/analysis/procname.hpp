@@ -7,10 +7,13 @@
 // legitimate process names, restricts the §V measurements to processes
 // whose *hash* matches the benign whitelist.
 //
-// `categorize_by_name` implements the name list; the analysis modules use
-// it (instead of trusting generator metadata) combined with the verdict
-// check, so a malicious process named chrome.exe is classified "Browser"
-// by name but never pollutes the known-benign tables.
+// `categorize_by_name` implements the name list. It runs once per
+// distinct executable name, when an AnnotatedCorpus is built, and every
+// consumer reads the result as `AnnotatedCorpus::category(ProcessId)`.
+// The analysis modules combine that category (instead of trusting
+// generator metadata) with the verdict check, so a malicious process
+// named chrome.exe is classified "Browser" by name but never pollutes the
+// known-benign tables.
 #pragma once
 
 #include <string_view>

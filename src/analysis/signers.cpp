@@ -1,9 +1,7 @@
 #include "analysis/signers.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "telemetry/scan.hpp"
+#include "util/id_set.hpp"
 #include "util/stats.hpp"
 
 namespace longtail::analysis {
@@ -125,10 +123,9 @@ SigningRates signing_rates(const AnnotatedCorpus& a) {
 namespace {
 
 struct SignerSets {
-  std::unordered_set<std::uint32_t> benign_signers;
-  std::array<std::unordered_set<std::uint32_t>, model::kNumMalwareTypes>
-      type_signers;
-  std::unordered_set<std::uint32_t> malicious_signers;
+  util::IdSet benign_signers;
+  std::array<util::IdSet, model::kNumMalwareTypes> type_signers;
+  util::IdSet malicious_signers;
   // Per-signer file counts.
   util::TopK<std::uint32_t> benign_counts, malicious_counts;
   std::array<util::TopK<std::uint32_t>, model::kNumMalwareTypes> type_counts;
@@ -180,13 +177,15 @@ SignerOverlap signer_overlap(const AnnotatedCorpus& a) {
   SignerOverlap out;
   for (std::size_t t = 0; t < model::kNumMalwareTypes; ++t) {
     out.per_type[t].signers = s.type_signers[t].size();
-    for (const auto signer : s.type_signers[t])
+    s.type_signers[t].for_each([&](std::uint32_t signer) {
       if (s.benign_signers.contains(signer))
         ++out.per_type[t].common_with_benign;
+    });
   }
   out.total.signers = s.malicious_signers.size();
-  for (const auto signer : s.malicious_signers)
+  s.malicious_signers.for_each([&](std::uint32_t signer) {
     if (s.benign_signers.contains(signer)) ++out.total.common_with_benign;
+  });
   return out;
 }
 
@@ -234,11 +233,11 @@ std::vector<CommonSignerPoint> common_signers(const AnnotatedCorpus& a,
                                               std::size_t top_k) {
   const SignerSets s = collect_signers(a);
   util::TopK<std::uint32_t> total;
-  for (const auto signer : s.malicious_signers) {
-    if (!s.benign_signers.contains(signer)) continue;
+  s.malicious_signers.for_each([&](std::uint32_t signer) {
+    if (!s.benign_signers.contains(signer)) return;
     total.add(signer, s.benign_counts.count(signer) +
                           s.malicious_counts.count(signer));
-  }
+  });
   std::vector<CommonSignerPoint> out;
   for (const auto& [signer, count] : total.top(top_k))
     out.push_back({a.corpus->signer_names.at(signer),

@@ -1,7 +1,8 @@
 #include "analysis/streaming.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "util/id_set.hpp"
 
 namespace longtail::analysis {
 
@@ -47,13 +48,12 @@ MonthlySummary StreamingAnalytics::monthly(const AnnotatedCorpus& a) const {
   MonthlySummary out;
   MonthlyTally overall;
   for (std::size_t m = 0; m < model::kNumCollectionMonths; ++m) {
-    overall.absorb(s.tallies[m]);
+    overall.merge(s.tallies[m]);
     out.months[m] = summarize_tally(a, s.tallies[m], s.events[m]);
   }
   // Include any spill past July in the overall row, as the batch path
   // does.
-  overall.absorb(
-      s.tallies[static_cast<std::size_t>(model::Month::kAugust)]);
+  overall.merge(s.tallies[static_cast<std::size_t>(model::Month::kAugust)]);
   out.overall = summarize_tally(a, overall, events_absorbed());
   return out;
 }
@@ -84,8 +84,8 @@ SigningRates StreamingAnalytics::signing(const AnnotatedCorpus& a) const {
 }
 
 MachineCoverage StreamingAnalytics::coverage(const AnnotatedCorpus& a) const {
-  std::array<std::unordered_set<std::uint32_t>, model::kNumVerdicts> sets;
-  std::unordered_set<std::uint32_t> active;
+  std::array<util::IdSet, model::kNumVerdicts> sets;
+  util::IdSet active;
   const auto& files = files_.state().files;
   for (std::size_t f = 0; f < files.size(); ++f) {
     if (files[f].machines.empty()) continue;

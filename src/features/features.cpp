@@ -1,7 +1,5 @@
 #include "features/features.hpp"
 
-#include "analysis/procname.hpp"
-
 namespace longtail::features {
 
 namespace {
@@ -17,8 +15,7 @@ std::string_view process_type_value(const analysis::AnnotatedCorpus& a,
   // and coarse labels otherwise supports both kinds of test.
   switch (a.verdict(p)) {
     case Verdict::kBenign:
-      switch (analysis::categorize_by_name(a.corpus->process_name(p))
-                  .category) {
+      switch (a.category(p).category) {
         case ProcessCategory::kBrowser: return "browser";
         case ProcessCategory::kWindows: return "windows-process";
         case ProcessCategory::kJava: return "java";

@@ -57,6 +57,20 @@ TEST(ProcName, UnknownNamesAreOther) {
             BrowserKind::kNotABrowser);
 }
 
+TEST(ProcName, AnnotatedCorpusResolvesEveryProcessByName) {
+  const auto& a = test::shared_pipeline(0.05).annotated();
+  ASSERT_EQ(a.process_categories.size(), a.corpus->processes.size());
+  std::uint64_t named = 0;
+  for (std::uint32_t p = 0; p < a.corpus->processes.size(); ++p) {
+    const model::ProcessId id{p};
+    const auto expected = categorize_by_name(a.corpus->process_name(id));
+    EXPECT_EQ(a.category(id).category, expected.category) << p;
+    EXPECT_EQ(a.category(id).browser, expected.browser) << p;
+    named += expected.category != ProcessCategory::kOther;
+  }
+  EXPECT_GT(named, 0u);
+}
+
 TEST(ProcName, MasqueradingMalwareStaysOutOfBenignTables) {
   // §V-A: the corpus contains malicious processes named like browsers and
   // Windows binaries; they must be excluded from the known-benign rows by
