@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -32,6 +31,7 @@
 #include "bench_common.hpp"
 #include "core/longtail.hpp"
 #include "deploy/online.hpp"
+#include "sweep_common.hpp"
 #include "synth/feed.hpp"
 #include "telemetry/binary.hpp"
 #include "telemetry/mapped.hpp"
@@ -60,13 +60,28 @@ BENCHMARK(BM_GenerateDataset)
     ->Arg(10)
     ->Unit(benchmark::kMillisecond);
 
+// The §II-A rules alone: the corpus as a trusted feed (report_id =
+// index, arrival = time) through one window of a fresh server.
 void BM_CollectionFilter(benchmark::State& state) {
   const auto ds = synth::generate_dataset(0.05);
+  const auto& events = ds.corpus.events;
+  std::vector<telemetry::DeliveredReport> feed;
+  feed.reserve(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i)
+    feed.push_back(telemetry::DeliveredReport{
+        events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
+        false});
   for (auto _ : state) {
-    telemetry::CollectionServer server(
-        telemetry::CollectionPolicy{.sigma = 20, .whitelisted_domains = {}});
-    auto accepted = server.filter(ds.corpus.events, ds.corpus.urls);
-    benchmark::DoNotOptimize(accepted);
+    telemetry::StreamingConfig cfg;
+    cfg.policy.sigma = 20;
+    cfg.num_files = ds.corpus.files.size();
+    cfg.trusted = true;
+    telemetry::StreamingCollectionServer server(std::move(cfg),
+                                                ds.corpus.urls);
+    std::vector<telemetry::EventWindow> windows;
+    server.ingest(feed, windows);
+    server.finish(windows);
+    benchmark::DoNotOptimize(windows);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(ds.corpus.events.size()) * state.iterations());
@@ -431,45 +446,22 @@ std::string run_fullscale_section(const char* argv0) {
 // ---- streaming section -------------------------------------------------
 //
 // Sustained streaming throughput: the collected corpus is re-ingested
-// through the *untrusted* streaming path (dedup set + reorder buffer
-// exercised per report) in LONGTAIL_STREAM_CHUNK-sized DeliveredReport
-// chunks; the closed windows feed the incremental analytics and the
-// online serving loop. The policy is pass-through (unbounded sigma, no
-// whitelist), so every event survives ingest and the serving loop sees
-// exactly the corpus replay — freshness percentiles are then a pure
-// function of the workload. Runs at a pinned thread count as part of the
-// fixed workload whose metrics the bench gate compares exactly.
+// by bench::replay_pass_through (untrusted path, pass-through policy) in
+// LONGTAIL_STREAM_CHUNK-sized chunks; the closed windows feed the
+// incremental analytics and the online serving loop. Every event
+// survives ingest, so the serving loop sees exactly the corpus replay —
+// freshness percentiles are then a pure function of the workload. Runs
+// at a pinned thread count as part of the fixed workload whose metrics
+// the bench gate compares exactly.
 std::string run_streaming_section(const synth::Dataset& dataset) {
   const auto annotated =
       analysis::annotate(dataset.corpus, dataset.whitelist, dataset.vt);
-  const auto& events = dataset.corpus.events;
-  const std::size_t n = events.size();
+  const std::size_t n = dataset.corpus.events.size();
   const auto window_s = telemetry::StreamingConfig::window_from_env();
   const std::size_t chunk = synth::ChunkedFeed::chunk_from_env();
-
-  telemetry::StreamingConfig cfg;
-  cfg.policy.sigma = std::numeric_limits<std::uint32_t>::max();
-  cfg.window_s = window_s;
-  cfg.num_files = dataset.corpus.files.size();
-  cfg.trusted = false;
-  telemetry::StreamingCollectionServer server(std::move(cfg),
-                                              dataset.corpus.urls);
-
-  std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  const double ingest_ms = bench::time_ms([&] {
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      const std::size_t end = std::min(n, begin + chunk);
-      buffer.clear();
-      buffer.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        buffer.push_back(telemetry::DeliveredReport{
-            events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-            false});
-      server.ingest(buffer, windows);
-    }
-    server.finish(windows);
-  });
+  const auto replay = bench::replay_pass_through(dataset, window_s, chunk);
+  const auto& windows = replay.windows;
+  const double ingest_ms = replay.ingest_ms;
   std::uint64_t accepted = 0;
   for (const auto& w : windows) accepted += w.events.size();
 
@@ -527,7 +519,7 @@ std::string run_streaming_section(const synth::Dataset& dataset) {
       .field("windows", static_cast<std::uint64_t>(windows.size()))
       .field("events_in", static_cast<std::uint64_t>(n))
       .field("events_accepted", accepted)
-      .field("conserved", server.conserved())
+      .field("conserved", replay.conserved)
       .field("ingest_ms", ingest_ms)
       .field("ingest_events_per_sec", ingest_rate)
       .field("analytics_ms", analytics_ms)

@@ -7,8 +7,7 @@
 // path; a drift number is only comparable across the two sweeps if the
 // metric is computed identically. This header is that single code path,
 // plus the scenario sweep's σ-cap saturation scan and the streaming
-// serving replay (the perf_pipeline streaming section's pass-through
-// harness, reusable per sweep run).
+// pass-through replay (shared with the perf_pipeline streaming section).
 #pragma once
 
 #include <algorithm>
@@ -131,12 +130,55 @@ inline std::string sigma_json(const SigmaCapStats& s) {
       .str();
 }
 
-// Streaming serving replay: re-ingests the collected corpus through the
-// untrusted streaming path in chunks (pass-through policy — sigma was
-// already applied at collection, so every event survives and the serving
-// loop sees exactly the corpus), then serves every closed window through
-// the online labeler. Freshness percentiles and the peak-window load are
-// how burst scenarios stress the serving loop.
+// Pass-through replay: re-ingests the collected corpus through the
+// untrusted streaming path (dedup set and reorder buffer exercised per
+// report) in `chunk`-sized DeliveredReport chunks, report_id = index and
+// arrival = time. The policy is pass-through — unbounded sigma, no
+// whitelist, since sigma was already applied at collection — so every
+// event survives into the closed windows and a consumer sees exactly the
+// corpus. Shared by the perf_pipeline streaming section and the sweeps'
+// serving replay.
+struct PassThroughReplay {
+  std::vector<telemetry::EventWindow> windows;
+  double ingest_ms = 0;
+  bool conserved = false;
+};
+
+inline PassThroughReplay replay_pass_through(const synth::Dataset& ds,
+                                             model::Timestamp window_s,
+                                             std::size_t chunk) {
+  telemetry::StreamingConfig cfg;
+  cfg.policy.sigma = std::numeric_limits<std::uint32_t>::max();
+  cfg.window_s = window_s;
+  cfg.num_files = ds.corpus.files.size();
+  cfg.trusted = false;
+  telemetry::StreamingCollectionServer server(std::move(cfg), ds.corpus.urls);
+
+  const auto& events = ds.corpus.events;
+  const std::size_t n = events.size();
+  PassThroughReplay out;
+  std::vector<telemetry::DeliveredReport> buffer;
+  out.ingest_ms = time_ms([&] {
+    for (std::size_t begin = 0; begin < n; begin += chunk) {
+      const std::size_t end = std::min(n, begin + chunk);
+      buffer.clear();
+      buffer.reserve(end - begin);
+      for (std::size_t i = begin; i < end; ++i)
+        buffer.push_back(telemetry::DeliveredReport{
+            events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
+            false});
+      server.ingest(buffer, out.windows);
+    }
+    server.finish(out.windows);
+  });
+  out.conserved = server.conserved();
+  return out;
+}
+
+// Streaming serving replay: the pass-through replay above, then every
+// closed window is served through the online labeler. Freshness
+// percentiles and the peak-window load are how burst scenarios stress
+// the serving loop.
 struct StreamingReplayStats {
   std::uint64_t windows = 0;
   std::uint64_t events = 0;
@@ -151,42 +193,21 @@ struct StreamingReplayStats {
 inline StreamingReplayStats replay_streaming(
     const synth::Dataset& ds, const analysis::AnnotatedCorpus& annotated) {
   StreamingReplayStats out;
-  const auto& events = ds.corpus.events;
-  const std::size_t n = events.size();
+  const std::size_t n = ds.corpus.events.size();
   out.events = n;
-  const std::size_t chunk = synth::ChunkedFeed::chunk_from_env();
-
-  telemetry::StreamingConfig cfg;
-  cfg.policy.sigma = std::numeric_limits<std::uint32_t>::max();
-  cfg.window_s = telemetry::StreamingConfig::window_from_env();
-  cfg.num_files = ds.corpus.files.size();
-  cfg.trusted = false;
-  telemetry::StreamingCollectionServer server(std::move(cfg), ds.corpus.urls);
-
-  std::vector<telemetry::EventWindow> windows;
-  std::vector<telemetry::DeliveredReport> buffer;
-  out.ingest_ms = time_ms([&] {
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      const std::size_t end = std::min(n, begin + chunk);
-      buffer.clear();
-      buffer.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        buffer.push_back(telemetry::DeliveredReport{
-            events[i], static_cast<std::uint64_t>(i), events[i].time(), 0,
-            false});
-      server.ingest(buffer, windows);
-    }
-    server.finish(windows);
-  });
-  out.windows = windows.size();
-  out.conserved = server.conserved();
+  const auto replay =
+      replay_pass_through(ds, telemetry::StreamingConfig::window_from_env(),
+                          synth::ChunkedFeed::chunk_from_env());
+  out.ingest_ms = replay.ingest_ms;
+  out.windows = replay.windows.size();
+  out.conserved = replay.conserved;
   out.ingest_events_per_sec =
       out.ingest_ms > 0 ? 1000.0 * static_cast<double>(n) / out.ingest_ms
                         : 0.0;
 
   deploy::OnlineLabeler labeler(ds, annotated, {});
   out.serve_ms = time_ms([&] {
-    for (const auto& w : windows) labeler.serve(w);
+    for (const auto& w : replay.windows) labeler.serve(w);
     labeler.finish();
   });
   out.peak_window_events = labeler.peak_window_events();

@@ -1,22 +1,19 @@
 #include "synth/feed.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <mutex>
 #include <string>
 
 #include "util/metrics.hpp"
+#include "util/spec.hpp"
 #include "util/trace.hpp"
 
 namespace longtail::synth {
 
 std::size_t ChunkedFeed::chunk_from_env() {
-  static constexpr std::size_t kDefault = 64 * 1024;
-  const char* env = std::getenv("LONGTAIL_STREAM_CHUNK");
-  if (env == nullptr || *env == '\0') return kDefault;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return kDefault;
-  return static_cast<std::size_t>(v);
+  static std::once_flag warned;
+  return static_cast<std::size_t>(util::env_integer(
+      "LONGTAIL_STREAM_CHUNK", /*min=*/1, /*fallback=*/64 * 1024, warned));
 }
 
 ChunkedFeed::ChunkedFeed(std::span<const model::DownloadEvent> raw,

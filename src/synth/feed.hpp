@@ -1,9 +1,8 @@
 // Chunked feed from the generator's raw agent stream into the streaming
 // collection server.
 //
-// The batch pipeline materialized the whole delivered stream and handed
-// it to `CollectionServer::filter_transport` in one call. `ChunkedFeed`
-// instead drives `telemetry::StreamingCollectionServer` chunk by chunk:
+// `ChunkedFeed` drives `telemetry::StreamingCollectionServer` chunk by
+// chunk:
 //
 //   * fault-free: delivered reports are synthesized on the fly per chunk
 //     (report_id = stream index, arrival = reported time) into a reused
@@ -56,7 +55,8 @@ class ChunkedFeed {
     return transport_stats_;
   }
 
-  // Reads LONGTAIL_STREAM_CHUNK (reports per chunk); defaults to 64k.
+  // Reads LONGTAIL_STREAM_CHUNK (reports per chunk); defaults to 64k,
+  // with a one-time warning when the value is not a positive integer.
   static std::size_t chunk_from_env();
 
  private:

@@ -1,27 +1,40 @@
-// Windowed streaming ingest for the collection server.
+// Windowed streaming ingest: the §II-A collection server.
 //
-// `StreamingCollectionServer` is the long-lived form of
-// `CollectionServer::filter_transport`: it consumes `DeliveredReport`
-// chunks incrementally (the chunks must partition an arrival-sorted
-// stream, i.e. FaultyTransport::deliver output split at any boundaries)
-// and emits *closed time-windows* of accepted events as the arrival
-// watermark advances. The PR 4 bounded reorder buffer is the
-// window-advance primitive: window k = [k·W, (k+1)·W) (clipped to the
-// collection period) closes exactly when the watermark guarantees no
-// event with a reported time inside it can still be admitted — events
-// earlier than `watermark()` are stale by the reorder rule, so once
-// `watermark() >= window.end` the window's contents are final.
+// `StreamingCollectionServer` applies the reporting rules of
+// collection.hpp to delivered agent reports. It consumes
+// `DeliveredReport` chunks incrementally (the chunks must partition an
+// arrival-sorted stream, i.e. FaultyTransport::deliver output split at
+// any boundaries) and emits *closed time-windows* of accepted events as
+// the arrival watermark advances. Before the rules, ingest:
+//   * drops retransmitted duplicate copies (same report_id — the server
+//     acks every receipt, so a copy whose predecessor was already received
+//     is discarded even if the predecessor was quarantined);
+//   * quarantines malformed payloads (out-of-range url/file id, timestamp
+//     outside the collection window) instead of counting them;
+//   * re-establishes occurrence-time order with a bounded reorder buffer:
+//     events are held until the arrival watermark passes
+//     `reorder_horizon_s`, then released in (time, report_id) order.
+//     Events arriving later than the horizon allows are dropped as stale
+//     rather than emitted out of order.
+// A trusted feed (`StreamingConfig::trusted`) skips dedup and the reorder
+// buffer; quarantine and the stale check still apply.
+//
+// The reorder buffer is the window-advance primitive: window k =
+// [k·W, (k+1)·W) (clipped to the collection period) closes exactly when
+// the watermark guarantees no event with a reported time inside it can
+// still be admitted — events earlier than `watermark()` are stale by the
+// reorder rule, so once `watermark() >= window.end` the window's contents
+// are final.
 //
 // Within a window, events appear in (time, report_id) release order; the
-// concatenation of all closed windows is byte-identical to what the batch
-// `filter_transport` returns for the whole stream, for every chunking and
+// concatenation of all closed windows is the same for every chunking and
 // every window width — windowing only partitions the release sequence, it
 // never reorders it.
 //
 // The §II-A conservation law holds at every watermark, not just at
 // end-of-stream: every consumed copy is either counted by exactly one
 // `CollectionStats` counter or still held in the reorder buffer, i.e.
-//   consumed() == (stats().total_seen() - base_seen) + pending().
+//   consumed() == stats().total_seen() + pending().
 // `conserved()` checks this invariant.
 #pragma once
 
@@ -44,7 +57,7 @@ namespace longtail::telemetry {
 struct StreamingConfig {
   CollectionPolicy policy;
   // Window width in seconds; <= 0 means a single window spanning the
-  // whole collection period (the batch wrapper uses that).
+  // whole collection period.
   model::Timestamp window_s = 0;
   // Valid FileIds are [0, num_files) — payload validation bound.
   std::size_t num_files = 0;
@@ -59,7 +72,9 @@ struct StreamingConfig {
   // untrusted path's, without the per-report hash/map cost.
   bool trusted = false;
 
-  // Reads LONGTAIL_STREAM_WINDOW (seconds); defaults to 7 days.
+  // Reads LONGTAIL_STREAM_WINDOW (seconds; 0 = one window); defaults to
+  // 7 days, with a one-time warning when the value is negative or not an
+  // integer.
   static model::Timestamp window_from_env();
 };
 
@@ -73,17 +88,9 @@ struct EventWindow {
 
 class StreamingCollectionServer {
  public:
-  // Owns its stats and prevalence state. `url_meta` is borrowed and must
-  // outlive the server.
+  // `url_meta` is borrowed and must outlive the server.
   StreamingCollectionServer(StreamingConfig cfg,
                             std::span<const model::UrlMeta> url_meta);
-  // Borrows an existing server's stats and prevalence state — the batch
-  // `CollectionServer::filter_transport` wrapper uses this so one-shot
-  // replay and streaming ingest share every side effect.
-  StreamingCollectionServer(StreamingConfig cfg,
-                            std::span<const model::UrlMeta> url_meta,
-                            CollectionStats& stats,
-                            PrevalenceTracker& prevalence);
 
   StreamingCollectionServer(const StreamingCollectionServer&) = delete;
   StreamingCollectionServer& operator=(const StreamingCollectionServer&) =
@@ -99,7 +106,7 @@ class StreamingCollectionServer {
   void finish(std::vector<EventWindow>& closed);
 
   [[nodiscard]] const CollectionStats& stats() const noexcept {
-    return *stats_;
+    return stats_;
   }
   // Delivered copies consumed so far.
   [[nodiscard]] std::uint64_t consumed() const noexcept { return consumed_; }
@@ -116,24 +123,26 @@ class StreamingCollectionServer {
     return next_window_;
   }
   [[nodiscard]] std::uint32_t reported_prevalence(model::FileId f) const {
-    return prevalence_->prevalence(f);
+    return prevalence_.prevalence(f);
   }
   // σ-cap saturation over everything admitted so far (see
   // PrevalenceTracker::saturated_files).
   [[nodiscard]] std::uint64_t sigma_saturated_files() const {
-    return prevalence_->saturated_files();
+    return prevalence_.saturated_files();
   }
   [[nodiscard]] std::uint64_t sigma_tracked_files() const {
-    return prevalence_->tracked_files();
+    return prevalence_.tracked_files();
   }
 
   // Conservation law at the current watermark (see file comment).
   [[nodiscard]] bool conserved() const noexcept {
-    return consumed_ ==
-           (stats_->total_seen() - base_seen_) + pending_.size();
+    return consumed_ == stats_.total_seen() + pending_.size();
   }
 
  private:
+  // Payload validation: an out-of-range url/file id or a reported time
+  // outside [0, period_end) marks a corrupted copy.
+  [[nodiscard]] bool malformed(const model::DownloadEvent& e) const noexcept;
   void release_until(model::Timestamp watermark,
                      std::vector<EventWindow>& closed);
   void close_windows_through(model::Timestamp watermark,
@@ -143,11 +152,8 @@ class StreamingCollectionServer {
   StreamingConfig cfg_;
   std::span<const model::UrlMeta> url_meta_;
 
-  CollectionStats own_stats_;
-  PrevalenceTracker own_prevalence_;
-  CollectionStats* stats_;
-  PrevalenceTracker* prevalence_;
-  std::uint64_t base_seen_ = 0;  // borrowed stats may start non-zero
+  CollectionStats stats_;
+  PrevalenceTracker prevalence_;
 
   // Retransmit dedup: one membership probe per delivered copy. Ingest
   // batch-inserts a whole chunk's report ids through the prefetch queue

@@ -1,5 +1,6 @@
 // Shared "k=v,k=v" spec-string parsing for the perturbation-profile
-// parsers (telemetry::parse_fault_profile, synth::parse_scenario_profile).
+// parsers (telemetry::parse_fault_profile, synth::parse_scenario_profile),
+// and the integer environment reader of the streaming knobs.
 //
 // Both profiles are configured from environment variables holding a
 // comma-separated rate spec; both must reject malformed input with a
@@ -11,7 +12,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -67,6 +70,26 @@ inline double parse_spec_number(std::string_view what, std::string_view key,
   throw std::runtime_error(std::string(what) + ": unknown key '" +
                            std::string(key) + "' (valid keys: " +
                            std::string(valid_keys) + ")");
+}
+
+// Reads the base-10 integer environment variable `name`. Unset or empty
+// yields `fallback`. A value that is not an integer, or is below `min`,
+// also yields `fallback`, after a warning on stderr naming the variable
+// and the value; `warned` prints that warning once per process.
+inline long long env_integer(const char* name, long long min,
+                             long long fallback, std::once_flag& warned) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  char* end = nullptr;
+  const long long v = std::strtoll(env, &end, 10);
+  if (end != env && *end == '\0' && v >= min) return v;
+  std::call_once(warned, [&] {
+    std::fprintf(stderr,
+                 "[longtail] warning: invalid %s='%s' (expected an integer "
+                 ">= %lld); using %lld\n",
+                 name, env, min, fallback);
+  });
+  return fallback;
 }
 
 }  // namespace longtail::util

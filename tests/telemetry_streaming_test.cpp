@@ -1,43 +1,36 @@
 // Streaming ingest invariants: for every window width and every chunking
 // of the delivered stream, the concatenation of the closed windows is
-// identical to the batch filter_transport replay — same events, same
-// order, same CollectionStats — and the §II-A conservation law holds at
-// every watermark, not just at end-of-stream. The trusted fast path must
-// be indistinguishable from the untrusted path on a fault-free stream.
+// identical to a one-window, one-chunk replay — same events, same order,
+// same CollectionStats — and the §II-A conservation law holds at every
+// watermark, not just at end-of-stream. The trusted fast path must be
+// indistinguishable from the untrusted path on a fault-free stream, and
+// still quarantine and drop what breaks the trusted-channel contract.
 #include "telemetry/streaming.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "collection_replay.hpp"
+#include "synth/feed.hpp"
 #include "telemetry/collection.hpp"
 #include "telemetry/transport.hpp"
 
 namespace longtail::telemetry {
 namespace {
 
-using model::DomainId;
-using model::DownloadEvent;
 using model::FileId;
-using model::MachineId;
-using model::ProcessId;
 using model::Timestamp;
-using model::UrlId;
 using model::UrlMeta;
+using test::make_event;
+using test::two_urls;
 
 constexpr Timestamp kPeriodEnd = 20'000;
 constexpr std::size_t kNumFiles = 37;
-
-DownloadEvent make_event(std::uint32_t file, std::uint32_t machine,
-                         std::uint32_t url, Timestamp t, bool executed) {
-  return DownloadEvent{FileId{file}, MachineId{machine}, ProcessId{0},
-                       UrlId{url}, t, executed};
-}
-
-std::vector<UrlMeta> two_urls() {
-  return {UrlMeta{DomainId{0}, 0}, UrlMeta{DomainId{1}, 0}};
-}
 
 // A deterministic mildly hostile stream: out-of-order reported times,
 // duplicate copies, and a few malformed payloads, sorted by arrival as
@@ -163,8 +156,11 @@ TEST(StreamingIngest, ConcatenationMatchesBatchForEveryWidthAndChunk) {
   const auto delivered = hostile_stream();
   const auto urls = two_urls();
 
-  CollectionServer batch(test_policy());
-  const auto batch_out = batch.filter_transport(delivered, urls, kNumFiles);
+  // The reference: one window over the default collection period, the
+  // whole stream as one chunk.
+  StreamingCollectionServer batch(test::one_window(test_policy(), kNumFiles),
+                                  urls);
+  const auto batch_out = test::replay(batch, delivered);
   ASSERT_GT(batch_out.size(), 0u);
   // The hostile stream must actually exercise every defense.
   EXPECT_GT(batch.stats().dropped_duplicate, 0u);
@@ -225,6 +221,114 @@ TEST(StreamingIngest, FinishIsIdempotent) {
   server.finish(windows);
   EXPECT_EQ(windows.size(), n);
   EXPECT_EQ(server.stats().accepted, accepted);
+}
+
+TEST(StreamingIngest, TrustedPathQuarantinesAndDropsContractBreaches) {
+  // A trusted feed that breaks its contract twice: one corrupted payload
+  // and one report older than the watermark. Both are counted, and every
+  // other event meets the same fate as on the clean stream.
+  const auto clean = clean_stream();
+  auto delivered = clean;
+  DeliveredReport malformed = delivered[100];
+  malformed.event.file = FileId{1'000};
+  malformed.report_id = delivered.size();
+  DeliveredReport late = delivered[10];
+  late.report_id = delivered.size() + 1;
+  ASSERT_LT(late.event.time, delivered[249].event.time);
+  delivered.insert(delivered.begin() + 250, late);
+  delivered.insert(delivered.begin() + 100, malformed);
+
+  const auto urls = two_urls();
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{17}}) {
+    SCOPED_TRACE(testing::Message() << "chunk=" << chunk);
+    const auto reference =
+        stream_through(clean, 512, chunk, /*trusted=*/true, urls);
+    const auto breached =
+        stream_through(delivered, 512, chunk, /*trusted=*/true, urls);
+    EXPECT_EQ(breached.stats.quarantined_malformed, 1u);
+    EXPECT_EQ(breached.stats.dropped_stale, 1u);
+    expect_same_events(breached.events, reference.events);
+    CollectionStats expected = reference.stats;
+    expected.quarantined_malformed += 1;
+    expected.dropped_stale += 1;
+    expect_same_stats(breached.stats, expected);
+  }
+}
+
+// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1))
+    ++n;
+  return n;
+}
+
+TEST(StreamingEnv, WindowZeroIsOneWindowAndInvalidValuesWarnOnce) {
+  constexpr Timestamp kWeek = 7 * model::kSecondsPerDay;
+  {
+    ScopedEnv env("LONGTAIL_STREAM_WINDOW", "0");
+    EXPECT_EQ(StreamingConfig::window_from_env(), 0);
+  }
+  {
+    ScopedEnv env("LONGTAIL_STREAM_WINDOW", "86400");
+    EXPECT_EQ(StreamingConfig::window_from_env(), 86'400);
+  }
+  {
+    ScopedEnv env("LONGTAIL_STREAM_WINDOW", "");
+    EXPECT_EQ(StreamingConfig::window_from_env(), kWeek);
+  }
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"-5", "abc", "12x"}) {
+    ScopedEnv env("LONGTAIL_STREAM_WINDOW", bad);
+    EXPECT_EQ(StreamingConfig::window_from_env(), kWeek) << bad;
+    EXPECT_EQ(StreamingConfig::window_from_env(), kWeek) << bad;
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(err, "warning"), 1u) << err;
+  EXPECT_NE(err.find("LONGTAIL_STREAM_WINDOW='-5'"), std::string::npos)
+      << err;
+}
+
+TEST(StreamingEnv, ChunkMustBePositiveAndInvalidValuesWarnOnce) {
+  constexpr std::size_t kDefault = 64 * 1024;
+  {
+    ScopedEnv env("LONGTAIL_STREAM_CHUNK", "4096");
+    EXPECT_EQ(synth::ChunkedFeed::chunk_from_env(), 4096u);
+  }
+  {
+    ScopedEnv env("LONGTAIL_STREAM_CHUNK", "");
+    EXPECT_EQ(synth::ChunkedFeed::chunk_from_env(), kDefault);
+  }
+  testing::internal::CaptureStderr();
+  for (const char* bad : {"0", "-5", "abc"}) {
+    ScopedEnv env("LONGTAIL_STREAM_CHUNK", bad);
+    EXPECT_EQ(synth::ChunkedFeed::chunk_from_env(), kDefault) << bad;
+    EXPECT_EQ(synth::ChunkedFeed::chunk_from_env(), kDefault) << bad;
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(err, "warning"), 1u) << err;
+  EXPECT_NE(err.find("LONGTAIL_STREAM_CHUNK='0'"), std::string::npos) << err;
 }
 
 }  // namespace
