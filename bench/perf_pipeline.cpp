@@ -609,9 +609,11 @@ void emit_trajectory(const std::string& fullscale_json) {
 
   // End of the fixed workload: fold the profile summary in and capture
   // the snapshot now, before any machine-dependent pass can perturb it.
-  // Rebuilding the pool first is a drain barrier — workers join only
-  // after the queue empties, so every pool task has been accounted and
-  // the task counters in the snapshot are exact.
+  // Rebuilding the pool first is a drain barrier: workers join only
+  // after the queue empties, so no task is still running when the
+  // snapshot is taken. The task count itself depends on scheduling (how
+  // many helpers were submitted before the caller drained the work),
+  // which is why bench_compare skips profile.* counters.
   util::set_global_threads(2);
   util::profile::publish_metrics();
   const std::string metrics_snapshot = util::metrics::snapshot_json();

@@ -170,7 +170,10 @@ std::string synth_company_name(util::Rng& rng) {
 
 std::string synth_domain_name(util::Rng& rng) {
   std::string name = syllable_word(rng, 2, 4);
-  if (rng.bernoulli(0.2)) name += "-" + syllable_word(rng, 1, 2);
+  if (rng.bernoulli(0.2)) {
+    name += '-';
+    name += syllable_word(rng, 1, 2);
+  }
   name += kDomainTlds[rng.uniform(std::size(kDomainTlds))];
   return name;
 }

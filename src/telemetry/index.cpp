@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace longtail::telemetry {
 
@@ -22,30 +21,13 @@ CorpusIndex::CorpusIndex(const Corpus& corpus) : corpus_(&corpus) {
   first_seen_.assign(nf, std::numeric_limits<model::Timestamp>::max());
   last_seen_.assign(nf, std::numeric_limits<model::Timestamp>::min());
 
-  // Distinct machines per file. Prevalence is capped upstream at sigma, so
-  // these sets stay tiny.
-  std::unordered_map<model::FileId, std::unordered_set<model::MachineId>>
-      file_machines;
-  file_machines.reserve(nf);
-
   std::vector<std::uint32_t> machine_counts(corpus.machine_count + 1, 0);
-
   for (std::size_t i = 0; i < n; ++i) {
-    const model::FileId f = files[i];
-    file_machines[f].insert(machines[i]);
-    auto& fs = first_seen_[f.raw()];
-    fs = std::min(fs, times[i]);
-    auto& ls = last_seen_[f.raw()];
-    ls = std::max(ls, times[i]);
+    const auto f = files[i].raw();
+    first_seen_[f] = std::min(first_seen_[f], times[i]);
+    last_seen_[f] = std::max(last_seen_[f], times[i]);
     ++machine_counts[machines[i].raw()];
   }
-
-  observed_files_.reserve(file_machines.size());
-  for (const auto& [f, ms] : file_machines) {
-    prevalence_[f.raw()] = static_cast<std::uint32_t>(ms.size());
-    observed_files_.push_back(f);
-  }
-  std::sort(observed_files_.begin(), observed_files_.end());
 
   // Per-machine event lists via counting sort: offsets then fill.
   machine_offsets_.assign(corpus.machine_count + 1, 0);
@@ -60,9 +42,24 @@ CorpusIndex::CorpusIndex(const Corpus& corpus) : corpus_(&corpus) {
       machine_event_idx_[cursor[m]++] = static_cast<std::uint32_t>(i);
     }
   }
-  active_machines_ = 0;
-  for (std::uint32_t m = 0; m < corpus.machine_count; ++m)
-    if (machine_counts[m] > 0) ++active_machines_;
+
+  // Prevalence: a machine's events are contiguous in machine_event_idx_, so
+  // stamping each file with the last machine that counted it counts every
+  // distinct (file, machine) pair once.
+  std::vector<std::uint32_t> last_machine(nf, ~0u);
+  for (std::uint32_t m = 0; m < corpus.machine_count; ++m) {
+    const auto events = machine_events(model::MachineId{m});
+    if (!events.empty()) ++active_machines_;
+    for (const auto i : events) {
+      const auto f = files[i].raw();
+      if (last_machine[f] != m) {
+        last_machine[f] = m;
+        ++prevalence_[f];
+      }
+    }
+  }
+  for (std::uint32_t f = 0; f < nf; ++f)
+    if (prevalence_[f] > 0) observed_files_.push_back(model::FileId{f});
 
   // Month offsets over the time-sorted event stream.
   month_offsets_.assign(model::kNumCalendarMonths + 1, 0);

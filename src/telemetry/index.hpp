@@ -1,11 +1,10 @@
-// Derived indexes over a Corpus. Built once, queried by every analysis
-// module: per-file prevalence and first/last-seen, per-machine event
-// timelines, per-domain machine/file sets, and per-month slices.
+// Derived indexes over a Corpus. Built once, in time linear in the events,
+// and queried by every analysis module: per-file prevalence and
+// first/last-seen, per-machine event timelines, and per-month slices.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "model/event.hpp"
